@@ -22,6 +22,22 @@
 //     runs. In particular, Engine.Immediately callbacks must not retain
 //     pooled packets or segItems past their release point.
 //
+//     Event rules. Every event has one record shape: cb(arg) plus its
+//     ordering key (time, delivery key, seq). At, After, Immediately and
+//     Every are adapters that pass the func value itself as arg; the
+//     boxing allocates nothing, but building the func literal usually
+//     does, so flexvet/hotclosure still flags the closure forms on hot
+//     paths. Wheel buckets are ordered at insert: the unconsumed suffix
+//     of a bucket stays in execution order by a shift from the tail
+//     (usually empty), and Step consumes the head event in place.
+//
+//     Task merge rule. sim.Task.Add(0, s) after a step without a stall
+//     extends that step instead of appending one. On an nfp.FPC the
+//     merged step fires the same compute-retire event and then schedules
+//     the same stall event at the same moment, so it takes the same seq;
+//     on a host.Core the task's duration is the same sum. The merge saves
+//     a step, never an event, and keeps tasks within MaxTaskSteps (4).
+//
 //   - segItems (internal/core): pooled per TOE and reference-counted.
 //     allocSeg hands out one reference; nbiSubmit adds one for the NBI
 //     reorder buffer (which may release the item synchronously or long
@@ -51,6 +67,15 @@
 // BenchmarkPipelineSegment reports the live number (~0.06 at this
 // writing) plus wall-clock ns per simulated segment; BENCH_pipeline.json
 // records the trajectory.
+//
+// Event counts are gated the same way, exactly, because they are
+// deterministic: TestPipelineEventBudget (per simulated segment,
+// pipelined and run-to-completion) and TestAppEventBudget (per RPC)
+// fail when a change adds engine events on the hot path. A change that
+// keeps the count but reorders same-instant events moves simulated
+// results instead; TestPayloadDigestsPinned (internal/scenario) pins the
+// canonical payloads of short specs on all four personalities to catch
+// it.
 //
 // The ownership rule is statically enforced by flexvet/poolown (leaks,
 // double release, use after release) and the closure-vs-Call discipline

@@ -6,6 +6,7 @@ package analysis_test
 import (
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 
 	"flextoe/internal/analysis/detrange"
@@ -23,25 +24,39 @@ var enforcing = []*flexanalysis.Analyzer{
 	hotclosure.Analyzer,
 }
 
-// loadTree loads every package in the module (the CLI's ./... pattern).
-func loadTree(t *testing.T) []*flexanalysis.Package {
+// tree is the module loaded once and shared by every test here: loading
+// and type-checking the whole module dominates this package's run time.
+var tree struct {
+	once sync.Once
+	root string
+	pkgs []*flexanalysis.Package
+	err  error
+}
+
+// loadTree returns the module root and every package in the module (the
+// CLI's ./... pattern), loading them on first use.
+func loadTree(t *testing.T) (string, []*flexanalysis.Package) {
 	t.Helper()
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
+	tree.once.Do(func() {
+		cwd, err := os.Getwd()
+		if err != nil {
+			tree.err = err
+			return
+		}
+		var modPath string
+		if tree.root, modPath, err = flexanalysis.ModuleRoot(cwd); err != nil {
+			tree.err = err
+			return
+		}
+		tree.pkgs, tree.err = flexanalysis.NewLoader().LoadAll(tree.root, modPath)
+	})
+	if tree.err != nil {
+		t.Fatal(tree.err)
 	}
-	root, modPath, err := flexanalysis.ModuleRoot(cwd)
-	if err != nil {
-		t.Fatal(err)
+	if len(tree.pkgs) < 20 {
+		t.Fatalf("loaded only %d packages; expected the whole module", len(tree.pkgs))
 	}
-	pkgs, err := flexanalysis.NewLoader().LoadAll(root, modPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; expected the whole module", len(pkgs))
-	}
-	return pkgs
+	return tree.root, tree.pkgs
 }
 
 // TestTreeClean asserts the real tree has zero unsuppressed diagnostics
@@ -50,7 +65,8 @@ func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")
 	}
-	for _, pkg := range loadTree(t) {
+	_, pkgs := loadTree(t)
+	for _, pkg := range pkgs {
 		results, err := flexanalysis.RunPackage(pkg, enforcing)
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.Path, err)
@@ -71,16 +87,9 @@ func TestSharedStateReportCurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, _, err := flexanalysis.ModuleRoot(cwd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, pkgs := loadTree(t)
 	var inventory []sharedstate.Var
-	for _, pkg := range loadTree(t) {
+	for _, pkg := range pkgs {
 		results, err := flexanalysis.RunPackage(pkg, []*flexanalysis.Analyzer{sharedstate.Analyzer})
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.Path, err)

@@ -631,8 +631,13 @@ func (sess *kvSession) push() {
 	}
 }
 
+// KVDefaultLen is the key and value size a KVClient uses when KeyLen or
+// ValLen is 0. A KVServer's ValueLen must equal the client's value size,
+// so callers that default one resolve the other from the same constant.
+const KVDefaultLen = 32
+
 // KVClient is the memtier-like generator: closed-loop GET/SET mix over
-// persistent connections with 32 B keys and values.
+// persistent connections with KVDefaultLen-byte keys and values.
 type KVClient struct {
 	KeyLen   int
 	ValLen   int
@@ -658,10 +663,10 @@ func (c *KVClient) Start(stack api.Stack, server api.Addr, conns int) {
 		c.Pipeline = 1
 	}
 	if c.KeyLen == 0 {
-		c.KeyLen = 32
+		c.KeyLen = KVDefaultLen
 	}
 	if c.ValLen == 0 {
-		c.ValLen = 32
+		c.ValLen = KVDefaultLen
 	}
 	for i := 0; i < conns; i++ {
 		stack.Dial(server, func(sock api.Socket) {

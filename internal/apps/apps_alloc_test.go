@@ -70,5 +70,26 @@ func BenchmarkAppRPCRequest(b *testing.B) {
 	p.runRequests(2000)
 	b.ReportAllocs()
 	b.ResetTimer()
+	ev := p.tb.Eng.Processed()
 	p.runRequests(uint64(b.N))
+	b.ReportMetric(float64(p.tb.Eng.Processed()-ev)/float64(b.N), "events/op")
+}
+
+// TestAppEventBudget gates the engine events one steady-state RPC
+// request-response costs end to end (the harness of
+// BenchmarkAppRPCRequest). The count is deterministic, so the gate is
+// exact: a change that adds events anywhere on the request path fails
+// here without any wall-clock measurement.
+func TestAppEventBudget(t *testing.T) {
+	const max = 62262 // events over the measured requests
+	p := newRPCPair(64, 4)
+	p.runRequests(2000)
+	const reqs = 2000
+	ev := p.tb.Eng.Processed()
+	p.runRequests(reqs)
+	n := p.tb.Eng.Processed() - ev
+	t.Logf("%d events over %d requests (%.2f per request), now %dps", n, reqs, float64(n)/reqs, int64(p.tb.Eng.Now()))
+	if n > max {
+		t.Fatalf("%d events over %d requests, budget is %d", n, reqs, max)
+	}
 }

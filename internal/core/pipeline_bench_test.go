@@ -19,7 +19,7 @@ type benchPair struct {
 	toeB *TOE
 }
 
-func newBenchPair(bufSize uint32) *benchPair {
+func newBenchPair(cfg Config, bufSize uint32) *benchPair {
 	eng := sim.New()
 	n := netsim.NewNetwork(eng, netsim.SwitchConfig{})
 	macA := packet.MAC(2, 0, 0, 0, 0, 1)
@@ -27,8 +27,8 @@ func newBenchPair(bufSize uint32) *benchPair {
 	rate := netsim.GbpsToBytesPerSec(40)
 	ifA := n.AttachHost("a", macA, rate, 100*sim.Nanosecond)
 	ifB := n.AttachHost("b", macB, rate, 100*sim.Nanosecond)
-	toeA := New(eng, AgilioCX40Config(), ifA)
-	toeB := New(eng, AgilioCX40Config(), ifB)
+	toeA := New(eng, cfg, ifA)
+	toeB := New(eng, cfg, ifB)
 
 	flowA := packet.Flow{SrcIP: packet.IP(10, 0, 0, 1), DstIP: packet.IP(10, 0, 0, 2), SrcPort: 1000, DstPort: 2000}
 	var connA, connB *Conn
@@ -74,11 +74,13 @@ func (p *benchPair) runSegments(n uint64) {
 // zero-allocation contract; see TestPipelineSteadyStateAllocBudget for
 // the CI gate).
 func BenchmarkPipelineSegment(b *testing.B) {
-	p := newBenchPair(1 << 16)
+	p := newBenchPair(AgilioCX40Config(), 1<<16)
 	p.runSegments(2000) // warm pools, caches, wheel buckets
 	b.ReportAllocs()
 	b.ResetTimer()
+	ev := p.eng.Processed()
 	p.runSegments(uint64(b.N))
+	b.ReportMetric(float64(p.eng.Processed()-ev)/float64(b.N), "events/op")
 }
 
 // TestPipelineSteadyStateAllocBudget is the benchmark-smoke gate: a
@@ -88,7 +90,7 @@ func BenchmarkPipelineSegment(b *testing.B) {
 // room for amortized container growth). Runs under plain `go test`, so CI
 // needs no benchmark plumbing to enforce it.
 func TestPipelineSteadyStateAllocBudget(t *testing.T) {
-	p := newBenchPair(1 << 16)
+	p := newBenchPair(AgilioCX40Config(), 1<<16)
 	p.runSegments(2000)
 	const segs = 500
 	allocs := testing.AllocsPerRun(3, func() {
@@ -98,5 +100,36 @@ func TestPipelineSteadyStateAllocBudget(t *testing.T) {
 	t.Logf("steady-state allocs per simulated segment: %.3f", perSeg)
 	if perSeg > 2 {
 		t.Fatalf("allocs per segment = %.3f, budget is 2", perSeg)
+	}
+}
+
+// TestPipelineEventBudget gates the engine events one steady-state
+// simulated segment costs, pipelined and in the run-to-completion
+// ablation. Event counts are deterministic, so the gate is exact and
+// free of wall-clock noise: a change that adds events on the data path
+// fails here, and one that removes them lowers the pinned total.
+func TestPipelineEventBudget(t *testing.T) {
+	mono := AgilioCX40Config()
+	mono.RunToCompletion = true
+	mono.ThreadsPerFPC = 1
+	cases := []struct {
+		name string
+		cfg  Config
+		max  uint64 // events over the measured segments
+	}{
+		{"pipeline", AgilioCX40Config(), 116402},
+		{"run-to-completion", mono, 68000},
+	}
+	const segs = 2000
+	for _, tc := range cases {
+		p := newBenchPair(tc.cfg, 1<<16)
+		p.runSegments(2000)
+		ev := p.eng.Processed()
+		p.runSegments(segs)
+		n := p.eng.Processed() - ev
+		t.Logf("%s: %d events over %d segments (%.2f per segment), now %dps", tc.name, n, segs, float64(n)/segs, int64(p.eng.Now()))
+		if n > tc.max {
+			t.Errorf("%s: %d events over %d segments, budget is %d", tc.name, n, segs, tc.max)
+		}
 	}
 }

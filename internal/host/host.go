@@ -90,8 +90,17 @@ func (c *Core) next() {
 		c.running = false
 		return
 	}
-	t := c.queue[c.qHead]
-	c.queue[c.qHead] = hostTask{}
+	// Read the task in place, then clear its slot: tasks are copied once,
+	// into the queue.
+	t := &c.queue[c.qHead]
+	var dur sim.Time
+	for i := 0; i < t.task.NumSteps(); i++ {
+		s := t.task.Step(i)
+		c.Instructions += uint64(s.Compute)
+		dur += sim.Time(s.Compute)*c.cyclePs + s.Stall
+	}
+	c.curCb, c.curArg = t.cb, t.arg
+	*t = hostTask{}
 	c.qHead++
 	if c.qHead > 64 && c.qHead*2 >= len(c.queue) {
 		n := copy(c.queue, c.queue[c.qHead:])
@@ -99,14 +108,7 @@ func (c *Core) next() {
 		c.qHead = 0
 	}
 	c.Tasks++
-	var dur sim.Time
-	for i := 0; i < t.task.NumSteps(); i++ {
-		s := t.task.Step(i)
-		c.Instructions += uint64(s.Compute)
-		dur += sim.Time(s.Compute)*c.cyclePs + s.Stall
-	}
 	c.busyAcc += dur
-	c.curCb, c.curArg = t.cb, t.arg
 	c.eng.AfterCall(dur, coreTaskDone, c)
 }
 

@@ -107,7 +107,7 @@ type FPC struct {
 	threads int
 
 	active    int // tasks currently occupying a hardware thread
-	runq      []pending
+	runq      []*fpcTask
 	issueBusy sim.Time // accumulated issue-slot busy time
 	issueFree sim.Time // next instant the issue slot is free
 
@@ -124,15 +124,10 @@ type FPC struct {
 	Instructions uint64
 }
 
-type pending struct {
-	task sim.Task
-	cb   func(any)
-	arg  any
-}
-
-// fpcTask is the in-flight execution record of one submitted task: the
-// remaining steps and the completion callback. Records are recycled via
-// the FPC's freelist so steady-state submission allocates nothing.
+// fpcTask is the execution record of one submitted task, queued or in
+// flight: the remaining steps and the completion callback. Records are
+// recycled via the FPC's freelist so steady-state submission allocates
+// nothing, and the task is copied into its record once, at submission.
 type fpcTask struct {
 	f    *FPC
 	task sim.Task
@@ -196,21 +191,18 @@ func (f *FPC) Submit(task sim.Task, done func()) {
 // task completes, with cb a long-lived function value and arg the per-task
 // state (typically the pipeline work item).
 func (f *FPC) SubmitCall(task sim.Task, cb func(any), arg any) {
+	ft := f.getTask()
+	ft.task, ft.idx, ft.cb, ft.arg = task, 0, cb, arg
 	if f.active < f.threads {
-		f.begin(task, cb, arg)
+		f.begin(ft)
 		return
 	}
-	f.runq = append(f.runq, pending{task, cb, arg})
+	f.runq = append(f.runq, ft)
 }
 
-func (f *FPC) begin(task sim.Task, cb func(any), arg any) {
+func (f *FPC) begin(ft *fpcTask) {
 	f.active++
 	f.Tasks++
-	ft := f.getTask()
-	ft.task = task
-	ft.idx = 0
-	ft.cb = cb
-	ft.arg = arg
 	ft.runStep()
 }
 
@@ -269,10 +261,10 @@ func (f *FPC) finish(ft *fpcTask) {
 	}
 	// Start queued work before announcing idleness.
 	for f.active < f.threads && len(f.runq) > 0 {
-		p := f.runq[0]
-		f.runq[0] = pending{}
+		next := f.runq[0]
+		f.runq[0] = nil
 		f.runq = f.runq[1:]
-		f.begin(p.task, p.cb, p.arg)
+		f.begin(next)
 	}
 	if f.active < f.threads && f.Idle != nil {
 		f.Idle()

@@ -318,14 +318,19 @@ func (b *Built) startWorkload(w *Workload, idx int) wlRuntime {
 		return rt
 	case KindKV:
 		k := w.KV
-		srv := &apps.KVServer{AppCycles: k.AppCycles, ValueLen: k.ValBytes}
+		// The server's GET replies must match the size clients expect.
+		val := k.ValBytes
+		if val == 0 {
+			val = apps.KVDefaultLen
+		}
+		srv := &apps.KVServer{AppCycles: k.AppCycles, ValueLen: val}
 		srv.Serve(b.TB.M(k.Server).Stack, k.Port)
 		addr := b.TB.Addr(k.Server, k.Port)
 		rt := &kvRT{}
 		for i, cl := range k.Clients {
 			c := &apps.KVClient{
 				KeyLen:   k.KeyBytes,
-				ValLen:   k.ValBytes,
+				ValLen:   val,
 				SetRatio: k.SetRatio,
 				Pipeline: k.Pipeline,
 				Seed:     wseed(k.Seed) ^ uint64(i+1)*seedMix,

@@ -237,3 +237,28 @@ func TestExecuteOnlyOnce(t *testing.T) {
 		t.Fatal("second Execute succeeded")
 	}
 }
+
+// TestKVDefaultValueSize runs a kv spec that omits val_bytes: server and
+// client must agree on the default value size, or every GET reply comes
+// back short and the run completes no operations.
+func TestKVDefaultValueSize(t *testing.T) {
+	spec := `{
+  "name": "kv-default",
+  "seed": 7,
+  "duration_us": 1000,
+  "topology": {"kind": "testbed"},
+  "machines": [
+    {"name": "server", "stack": "flextoe", "cores": 2},
+    {"name": "client", "stack": "flextoe", "cores": 2}
+  ],
+  "workloads": [
+    {"kind": "kv", "kv": {"server": "server", "port": 9000, "clients": ["client"], "conns": 2, "set_ratio": 0.1}}
+  ]
+}`
+	for _, s := range []string{spec, strings.Replace(spec, `"set_ratio": 0.1`, `"set_ratio": 0.1, "val_bytes": 100`, 1)} {
+		r := mustRun(t, s, nil)
+		if ops := r.Workloads[0].Ops; ops == 0 {
+			t.Fatalf("kv spec completed 0 ops:\n%s", s)
+		}
+	}
+}

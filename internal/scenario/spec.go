@@ -175,7 +175,7 @@ type KVWorkload struct {
 	Clients   []string `json:"clients"`
 	Conns     int      `json:"conns"`
 	KeyBytes  int      `json:"key_bytes,omitempty"`
-	ValBytes  int      `json:"val_bytes,omitempty"`
+	ValBytes  int      `json:"val_bytes,omitempty"` // 0 = apps.KVDefaultLen
 	SetRatio  float64  `json:"set_ratio,omitempty"`
 	Pipeline  int      `json:"pipeline,omitempty"`
 	AppCycles int64    `json:"app_cycles,omitempty"`

@@ -73,10 +73,11 @@ func Cycles(n int64, hz int64) Time {
 	return Time(whole*1e12 + (rem*1e12+hz/2)/hz)
 }
 
-// event is one scheduled callback. Events come in two flavours: a plain
-// closure (fn) or the allocation-free call form (cb + arg), where cb is a
-// long-lived function value and arg carries the per-event state. Exactly
-// one of fn/cb is set.
+// event is one scheduled callback: cb(arg), where cb is a long-lived
+// function value and arg carries the per-event state. The closure forms
+// (At, After, Immediately, Every) are adapters that pass the func value as
+// arg, which boxes into the interface without allocating, so every event
+// has this one shape.
 //
 // dkey is the delivery key used by cross-engine-safe ordering (see
 // before): 0 for ordinary local events, and a nonzero link-scoped key
@@ -86,18 +87,12 @@ type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among same-instant local events
 	dkey uint64 // delivery ordering key; 0 = local event
-	fn   func()
 	cb   func(any)
 	arg  any
 }
 
-func (ev *event) run() {
-	if ev.cb != nil {
-		ev.cb(ev.arg)
-		return
-	}
-	ev.fn()
-}
+// callFn adapts a plain func() to the cb(arg) form.
+func callFn(a any) { a.(func())() }
 
 // before reports whether a orders strictly before b in execution order.
 //
@@ -142,11 +137,10 @@ type Engine struct {
 
 	// Near wheel: buckets[i&wheelMask] holds events whose tick index
 	// (at>>tickBits) is i, for ticks in [start>>tickBits, +wheelSize).
-	// heads[i] is the bucket's consumed prefix; sorted[i] records whether
-	// the unconsumed suffix is known to be in (at, seq) order.
+	// heads[i] is the bucket's consumed prefix; the unconsumed suffix is
+	// kept in execution order at insert.
 	buckets  [][]event
 	heads    []int
-	sorted   []bool
 	start    Time  // wheel window lower bound, tick-aligned
 	curTick  int64 // cursor: no wheel event lives below this tick
 	wheelCnt int
@@ -172,7 +166,6 @@ func New() *Engine {
 	return &Engine{
 		buckets: make([][]event, wheelSize),
 		heads:   make([]int, wheelSize),
-		sorted:  make([]bool, wheelSize),
 	}
 }
 
@@ -185,11 +178,7 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.insert(event{at: t, seq: e.seq, fn: fn})
+	e.AtCall(t, callFn, fn)
 }
 
 // AtCall schedules cb(arg) at absolute time t. It is the allocation-free
@@ -198,11 +187,7 @@ func (e *Engine) At(t Time, fn func()) {
 // no closure allocation. arg must not be a pooled object that could be
 // recycled before the event fires.
 func (e *Engine) AtCall(t Time, cb func(any), arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.insert(event{at: t, seq: e.seq, cb: cb, arg: arg})
+	e.schedule(t, 0, cb, arg)
 }
 
 // AtLinkCall schedules cb(arg) at absolute time t as a frame-delivery
@@ -211,11 +196,16 @@ func (e *Engine) AtCall(t Time, cb func(any), arg any) {
 // is identical in serial and sharded mode — the determinism hinge of the
 // sharding contract (see the before comment and doc.go).
 func (e *Engine) AtLinkCall(t Time, dkey uint64, cb func(any), arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
 	if dkey == 0 {
 		panic("sim: AtLinkCall requires a nonzero delivery key")
+	}
+	e.schedule(t, dkey, cb, arg)
+}
+
+// schedule stamps the next seq on cb(arg) and queues it at t.
+func (e *Engine) schedule(t Time, dkey uint64, cb func(any), arg any) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
 	e.insert(event{at: t, seq: e.seq, dkey: dkey, cb: cb, arg: arg})
@@ -266,7 +256,7 @@ func (e *Engine) Local(key any, mk func() any) any {
 
 // After schedules fn to run d picoseconds from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) {
-	e.At(e.now+d, fn)
+	e.AtCall(e.now+d, callFn, fn)
 }
 
 // AfterCall schedules cb(arg) d picoseconds from now (see AtCall).
@@ -277,7 +267,7 @@ func (e *Engine) AfterCall(d Time, cb func(any), arg any) {
 // Immediately schedules fn at the current instant, after all events already
 // queued for this instant.
 func (e *Engine) Immediately(fn func()) {
-	e.At(e.now, fn)
+	e.AtCall(e.now, callFn, fn)
 }
 
 // ImmediatelyCall schedules cb(arg) at the current instant (see AtCall).
@@ -288,17 +278,11 @@ func (e *Engine) ImmediatelyCall(cb func(any), arg any) {
 // Every schedules fn at start and then every interval thereafter, for as
 // long as fn returns true.
 func (e *Engine) Every(start, interval Time, fn func() bool) {
-	if interval <= 0 {
-		panic("sim: non-positive interval")
-	}
-	var tick func()
-	tick = func() {
-		if fn() {
-			e.After(interval, tick)
-		}
-	}
-	e.At(start, tick)
+	e.EveryCall(start, interval, callBoolFn, fn)
 }
+
+// callBoolFn adapts a plain func() bool to the EveryCall form.
+func callBoolFn(a any) bool { return a.(func() bool)() }
 
 // periodic carries one EveryCall arming: the long-lived callback, its
 // argument, and the rearm interval.
@@ -322,9 +306,7 @@ func periodicTick(a any) {
 // thereafter, for as long as cb returns true. It is the allocation-free
 // form of Every: cb should be a long-lived function value and arg the
 // periodic state, so arming allocates one small carrier and each firing
-// allocates nothing (Every closes over fn and tick — two closures per
-// arming, which adds up when every connection-scan loop on every machine
-// arms one).
+// allocates nothing.
 func (e *Engine) EveryCall(start, interval Time, cb func(any) bool, arg any) {
 	if interval <= 0 {
 		panic("sim: non-positive interval")
@@ -346,18 +328,27 @@ func (e *Engine) insert(ev event) {
 			// The cursor peeked ahead of now (RunUntil); rescan from here.
 			e.curTick = tick
 		}
-		idx := int(tick) & wheelMask
-		b := e.buckets[idx]
-		// Appending in (at, seq) order keeps the bucket sorted for free;
-		// anything else marks it for a lazy sort at drain time.
-		if len(b) > e.heads[idx] && !b[len(b)-1].before(&ev) {
-			e.sorted[idx] = false
-		}
-		e.buckets[idx] = append(b, ev)
-		e.wheelCnt++
+		e.bucketInsert(ev)
 		return
 	}
 	e.heapPush(ev)
+}
+
+// bucketInsert places ev in its wheel bucket, keeping the unconsumed
+// suffix in execution order. Events mostly arrive in order, so the shift
+// from the tail is usually empty; it stops at the head because consumed
+// slots are dead.
+func (e *Engine) bucketInsert(ev event) {
+	idx := int(ev.at>>tickBits) & wheelMask
+	b := append(e.buckets[idx], ev)
+	j, h := len(b)-1, e.heads[idx]
+	for j > h && ev.before(&b[j-1]) {
+		b[j] = b[j-1]
+		j--
+	}
+	b[j] = ev
+	e.buckets[idx] = b
+	e.wheelCnt++
 }
 
 // anchor moves the wheel window so it starts at the tick containing t and
@@ -368,14 +359,7 @@ func (e *Engine) anchor(t Time) {
 	e.curTick = int64(e.start >> tickBits)
 	const span = Time(wheelSize) << tickBits
 	for len(e.overflow) > 0 && e.overflow[0].at-e.start < span {
-		ev := e.heapPop()
-		idx := int(ev.at>>tickBits) & wheelMask
-		b := e.buckets[idx]
-		if len(b) > e.heads[idx] && !b[len(b)-1].before(&ev) {
-			e.sorted[idx] = false
-		}
-		e.buckets[idx] = append(b, ev)
-		e.wheelCnt++
+		e.bucketInsert(e.heapPop())
 	}
 }
 
@@ -385,76 +369,50 @@ func (e *Engine) wheelMin() *event {
 	for {
 		idx := int(e.curTick) & wheelMask
 		b := e.buckets[idx]
-		h := e.heads[idx]
-		if h < len(b) {
-			if !e.sorted[idx] {
-				insertionSort(b[h:])
-				e.sorted[idx] = true
-			}
+		if h := e.heads[idx]; h < len(b) {
 			return &b[h]
 		}
 		// Bucket exhausted: reset it for the next rotation.
 		if len(b) > 0 {
 			e.buckets[idx] = b[:0]
 			e.heads[idx] = 0
-			e.sorted[idx] = true
 		}
 		e.curTick++
 	}
 }
 
-// insertionSort orders events by (at, seq). Buckets are small and mostly
-// sorted already, so insertion sort beats sort.Slice and allocates nothing.
-func insertionSort(evs []event) {
-	for i := 1; i < len(evs); i++ {
-		ev := evs[i]
-		j := i - 1
-		for j >= 0 && ev.before(&evs[j]) {
-			evs[j+1] = evs[j]
-			j--
-		}
-		evs[j+1] = ev
-	}
-}
-
-// popWheelMin consumes the event wheelMin points at.
-func (e *Engine) popWheelMin() event {
-	idx := int(e.curTick) & wheelMask
-	h := e.heads[idx]
-	ev := e.buckets[idx][h]
-	e.buckets[idx][h] = event{}
-	e.heads[idx] = h + 1
-	e.wheelCnt--
-	return ev
-}
-
-// nextAt returns the timestamp of the next event to execute.
-func (e *Engine) nextAt() (Time, bool) {
-	if e.wheelCnt > 0 {
-		return e.wheelMin().at, true
-	}
-	if len(e.overflow) > 0 {
-		return e.overflow[0].at, true
-	}
-	return 0, false
-}
-
 // Step executes the next event. It reports whether an event was executed.
-func (e *Engine) Step() bool {
+func (e *Engine) Step() bool { return e.stepUntil(maxTime) }
+
+// maxTime is the horizon of an unbounded Step.
+const maxTime = Time(1<<63 - 1)
+
+// stepUntil executes the next event if its timestamp is at or before t,
+// and reports whether it did.
+func (e *Engine) stepUntil(t Time) bool {
 	if e.stopped {
 		return false
 	}
 	if e.wheelCnt == 0 {
-		if len(e.overflow) == 0 {
+		if len(e.overflow) == 0 || e.overflow[0].at > t {
 			return false
 		}
 		e.anchor(e.overflow[0].at)
 	}
-	e.wheelMin()
-	ev := e.popWheelMin()
+	ev := e.wheelMin()
+	if ev.at > t {
+		return false
+	}
+	// Consume the event in place: take the callback, clear the slot and
+	// advance the head before running it, since the callback may insert
+	// into (and so grow or shift) this same bucket.
+	cb, arg := ev.cb, ev.arg
 	e.now = ev.at
+	*ev = event{}
+	e.heads[int(e.curTick)&wheelMask]++
+	e.wheelCnt--
 	e.nRun++
-	ev.run()
+	cb(arg)
 	return true
 }
 
@@ -467,12 +425,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t (even if the queue still holds later events).
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
-		at, ok := e.nextAt()
-		if !ok || at > t {
-			break
-		}
-		e.Step()
+	for e.stepUntil(t) {
 	}
 	if !e.stopped && e.now < t {
 		e.now = t
@@ -484,23 +437,23 @@ func (e *Engine) RunUntil(t Time) {
 // shard receives no new cross-shard input, so it can run without
 // coordination.
 func (e *Engine) runWindow(wend Time) {
-	for !e.stopped {
-		at, ok := e.nextAt()
-		if !ok || at >= wend {
-			return
-		}
-		e.Step()
+	for e.stepUntil(wend - 1) {
 	}
 }
 
-// pendingNext is nextAt gated on Stop, for the shard runner: a stopped
-// engine reports no pending work so the group doesn't spin on events it
-// will never execute.
+// pendingNext returns the timestamp of the next event to execute, for the
+// shard runner. A stopped engine reports no pending work so the group
+// doesn't spin on events it will never execute.
 func (e *Engine) pendingNext() (Time, bool) {
-	if e.stopped {
+	switch {
+	case e.stopped:
 		return 0, false
+	case e.wheelCnt > 0:
+		return e.wheelMin().at, true
+	case len(e.overflow) > 0:
+		return e.overflow[0].at, true
 	}
-	return e.nextAt()
+	return 0, false
 }
 
 // advanceTo moves the clock forward to t without executing anything.

@@ -285,12 +285,16 @@ func TestResourceExtraLatencyDoesNotBlockPipe(t *testing.T) {
 }
 
 func TestTaskAccessors(t *testing.T) {
-	task := TaskC(100).Add(50, 10*Nanosecond).Add(25, 5*Nanosecond)
+	// The pure stalls merge into the steps before them: 3 steps, not 5.
+	task := TaskC(100).Add(0, 4*Nanosecond).Add(50, 6*Nanosecond).Add(25, 0).Add(0, 5*Nanosecond)
 	if task.Instructions() != 175 {
 		t.Fatalf("instructions = %d", task.Instructions())
 	}
 	if task.StallTime() != 15*Nanosecond {
 		t.Fatalf("stall = %v", task.StallTime())
+	}
+	if task.NumSteps() != 3 || task.Step(0) != (Step{100, 4 * Nanosecond}) {
+		t.Fatalf("steps = %d, first %+v", task.NumSteps(), task.Step(0))
 	}
 }
 

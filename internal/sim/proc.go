@@ -10,10 +10,10 @@ type Step struct {
 
 // MaxTaskSteps bounds the steps in one Task. Tasks are value types with a
 // fixed-size step array so that building one on the data path performs no
-// heap allocation (the run-to-completion ablation's five-step task is the
+// heap allocation (the run-to-completion ablation's four-step task is the
 // deepest in the tree); keeping the array tight matters because tasks are
-// copied by value through every Submit.
-const MaxTaskSteps = 6
+// copied by value into every Submit.
+const MaxTaskSteps = 4
 
 // Task is a unit of work submitted to a Proc: alternating compute bursts
 // and stalls. Tasks are value types and may be built incrementally.
@@ -30,8 +30,14 @@ func TaskC(instr int64) Task {
 	return t
 }
 
-// Add appends a step and returns the task for chaining.
+// Add appends a step and returns the task for chaining. A pure stall
+// (instr 0) after a step without one extends that step instead, which
+// runs the same events (see doc.go, "Task merge rule").
 func (t Task) Add(instr int64, stall Time) Task {
+	if instr == 0 && t.n > 0 && t.steps[t.n-1].Stall == 0 {
+		t.steps[t.n-1].Stall = stall
+		return t
+	}
 	if t.n >= MaxTaskSteps {
 		panic("sim: task step overflow")
 	}

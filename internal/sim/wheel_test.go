@@ -7,8 +7,9 @@ import (
 )
 
 // refEngine is the pre-timing-wheel event core (a container/heap binary
-// heap), kept verbatim as the ordering oracle: ascending timestamp, FIFO
-// among same-instant events.
+// heap), kept as the ordering oracle: ascending timestamp, then local
+// events before deliveries in delivery-key order, FIFO among same-instant
+// local events.
 type refEngine struct {
 	now    Time
 	events refHeap
@@ -16,9 +17,9 @@ type refEngine struct {
 }
 
 type refEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at        Time
+	seq, dkey uint64
+	fn        func()
 }
 
 type refHeap []refEvent
@@ -27,6 +28,9 @@ func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
+	}
+	if h[i].dkey != h[j].dkey {
+		return h[i].dkey < h[j].dkey
 	}
 	return h[i].seq < h[j].seq
 }
@@ -41,12 +45,12 @@ func (h *refHeap) Pop() interface{} {
 	return ev
 }
 
-func (e *refEngine) At(t Time, fn func()) {
+func (e *refEngine) At(t Time, dkey uint64, fn func()) {
 	if t < e.now {
 		panic("ref: past")
 	}
 	e.seq++
-	heap.Push(&e.events, refEvent{at: t, seq: e.seq, fn: fn})
+	heap.Push(&e.events, refEvent{at: t, seq: e.seq, dkey: dkey, fn: fn})
 }
 
 func (e *refEngine) Step() bool {
@@ -68,9 +72,10 @@ func (e *refEngine) RunUntil(t Time) {
 	}
 }
 
-// scheduler abstracts both engines for the differential driver.
+// scheduler abstracts both engines for the differential driver. A
+// nonzero dkey schedules a delivery (AtLinkCall).
 type scheduler interface {
-	schedule(t Time, fn func())
+	schedule(t Time, dkey uint64, fn func())
 	now() Time
 	step() bool
 	runUntil(t Time)
@@ -78,27 +83,44 @@ type scheduler interface {
 
 type wheelSched struct{ e *Engine }
 
-func (w wheelSched) schedule(t Time, fn func()) { w.e.At(t, fn) }
-func (w wheelSched) now() Time                  { return w.e.Now() }
-func (w wheelSched) step() bool                 { return w.e.Step() }
-func (w wheelSched) runUntil(t Time)            { w.e.RunUntil(t) }
+func (w wheelSched) schedule(t Time, dkey uint64, fn func()) {
+	if dkey == 0 {
+		w.e.At(t, fn)
+	} else {
+		w.e.AtLinkCall(t, dkey, callFn, fn)
+	}
+}
+func (w wheelSched) now() Time       { return w.e.Now() }
+func (w wheelSched) step() bool      { return w.e.Step() }
+func (w wheelSched) runUntil(t Time) { w.e.RunUntil(t) }
 
 type refSched struct{ e *refEngine }
 
-func (r refSched) schedule(t Time, fn func()) { r.e.At(t, fn) }
-func (r refSched) now() Time                  { return r.e.now }
-func (r refSched) step() bool                 { return r.e.Step() }
-func (r refSched) runUntil(t Time)            { r.e.RunUntil(t) }
+func (r refSched) schedule(t Time, dkey uint64, fn func()) { r.e.At(t, dkey, fn) }
+func (r refSched) now() Time                               { return r.e.now }
+func (r refSched) step() bool                              { return r.e.Step() }
+func (r refSched) runUntil(t Time)                         { r.e.RunUntil(t) }
 
 // driveSchedule runs one pseudo-random scenario on a scheduler and records
 // the (event id, execution time) trace. Events reschedule follow-ups from
 // inside their handlers — same-instant bursts, near deltas that stay in
 // one wheel bucket, mid-range deltas that cross buckets, and far deltas
 // (RTO-scale) that exercise the overflow heap and window re-anchoring.
+// A third of the events are deliveries with unique, randomly ordered
+// keys.
 func driveSchedule(s scheduler, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []int64
 	nextID := 0
+	var keys uint64
+	schedule := func(t Time, fn func()) {
+		var dkey uint64
+		if rng.Intn(3) == 0 {
+			keys++
+			dkey = uint64(rng.Intn(4))<<32 | keys
+		}
+		s.schedule(t, dkey, fn)
+	}
 	var spawn func(depth int) func()
 	spawn = func(depth int) func() {
 		id := nextID
@@ -123,16 +145,16 @@ func driveSchedule(s scheduler, seed int64) []int64 {
 				default:
 					d = Time(rng.Intn(1 << 33)) // milliseconds: overflow heap
 				}
-				s.schedule(s.now()+d, spawn(depth-1))
+				schedule(s.now()+d, spawn(depth-1))
 			}
 		}
 	}
 	// Seed events, including same-instant collisions.
 	for i := 0; i < 40; i++ {
-		s.schedule(Time(rng.Intn(1<<30)), spawn(4))
+		schedule(Time(rng.Intn(1<<30)), spawn(4))
 	}
 	for i := 0; i < 8; i++ {
-		s.schedule(12345, spawn(2))
+		schedule(12345, spawn(2))
 	}
 	// Interleave stepping with RunUntil jumps that park the clock between
 	// events (exercises the cursor pull-back path).
@@ -145,8 +167,8 @@ func driveSchedule(s scheduler, seed int64) []int64 {
 }
 
 // TestWheelMatchesHeapOrder pins the timing wheel's execution order to the
-// old binary-heap engine across randomized schedules: identical event IDs
-// at identical times, in identical order.
+// reference binary-heap engine across randomized schedules: identical
+// event IDs at identical times, in identical order.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		got := driveSchedule(wheelSched{New()}, seed)
