@@ -1,11 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§5). Each benchmark runs the corresponding experiment at
 // Quick scale once per iteration and reports the headline metric; run
-// cmd/flexbench -full for paper-scale sweeps. Per-core-count harness
-// scaling curves (sharded engine / cell pool, PR 7) live in
-// internal/experiments/bench_test.go (BenchmarkFig8SweepCores*,
-// BenchmarkFig17IncastCores*) and in the scaling tables flexbench emits
-// with -cores > 1.
+// cmd/flexbench -full for paper-scale sweeps. Per-core-count scaling of
+// the cell pool (independent sweep cells, one engine each) lives in
+// internal/experiments/bench_test.go (BenchmarkFig8SweepCores*) and in
+// the scaling tables flexbench emits with -cores > 1.
 package main
 
 import (

@@ -7,7 +7,7 @@
 //	poolown     pooled single-ownership (PR 3)
 //	detrange    one-seed determinism (map order, wall clock, global rand)
 //	hotclosure  zero-alloc event scheduling (Call-form APIs)
-//	sharedstate cross-shard state inventory (reporting only; -sharedstate)
+//	sharedstate cross-engine state inventory (reporting only; -sharedstate)
 //
 // Usage:
 //

@@ -237,59 +237,19 @@
 // variable, capturing it in an escaping closure, or touching it after the
 // invalidating Consume/Commit is a build-breaking diagnostic.
 //
-// # Sharding contract: conservative-lookahead parallel engine
+// # Concurrency
 //
-// The simulation runs on a sim.Group of N engine shards (PR 7). Shard 0
-// owns the network — every switch, the fabric, background timers — and
-// each machine (host + TOE + libTOE + apps) lives wholly on one shard,
-// rack-affine on the fabric (machines in the same rack share a shard) and
-// round-robin on the single-switch testbed. N=1 bypasses the group
-// machinery entirely and is byte-for-byte the serial timing wheel.
-//
-// Lookahead rule. The only cross-shard edges are frames in flight on
-// host↔switch links, and every such boundary link registers its minimum
-// delivery latency with Group.NoteBoundary (propagation delay + the ≥1 ps
-// serialization floor that sim.Resource.Reserve enforces). The group
-// lookahead L is the minimum over boundaries. Each window executes events
-// in [m, min(m+L, t+1)) where m is the global minimum next-event time: a
-// frame transmitted during the window cannot arrive before the window
-// ends, so shards run the whole window with no coordination, then
-// exchange injected events at a barrier (run phase, drain phase).
-// Engine.Inject therefore requires its target time to be at or beyond the
-// current window end — the link model guarantees this by construction.
-// Corollary: code on the data path must never deliver anything to another
-// machine "now"; everything crosses a link with nonzero latency.
-//
-// Cross-shard frame ownership handoff. Iface.Send splits delivery: the
-// sender-side wire-egress event (queue debit) stays on the sending shard
-// and the arrival event crosses through the group's per-pair SPSC queue.
-// Both carry the same delivery key the serial engine would have used, so
-// every queue-occupancy read orders identically in both modes. On
-// arrival, the receiving shard adopts the frame and its packet into its
-// own pools (packet.Pool.Adopt / FramePool adoption) before any consumer
-// sees them — the single-owner release rule above is unchanged; adoption
-// only redirects which shard's freelist the eventual Release feeds.
-//
-// Per-shard pools and stats. Pools, freelists and counters on the hot
-// path are single-threaded by design; sharding keeps them that way by
-// giving each shard its own instance (Engine.Local — packet pools, frame
-// pools, TOE work rings, per-stack segment freelists). Package-level
-// defaults survive for single-threaded entry points and are annotated
-// `//flexvet:sharedstate shard-confined` (inventoried in SHAREDSTATE.md).
-// Measurement state follows the same rule: each shard accumulates its own
-// histograms/counters and readout methods merge them in construction
-// order, so merged results are identical at every shard count.
-//
-// Determinism. Same-instant events order by (time, delivery key,
-// schedule sequence); delivery keys are linkID<<32|txSeq, unique per
-// in-flight frame and identical in serial and sharded mode. Window
-// placement, worker count (capped at GOMAXPROCS-1, shards multiplexed
-// round-robin; GOMAXPROCS=1 runs the windows inline sequentially) and
-// source-queue drain order are all result-invariant. The gate is
-// TestParallelMatchesSerial (internal/experiments): counters, tracepoint
-// hits and app results bit-identical to serial at 2 and 4 shards, and
-// sharded reruns bit-identical including per-shard event counts; CI runs
-// it under the race detector at GOMAXPROCS 2 and 8.
+// Each testbed runs on one sim.Engine: the network and every machine
+// share its timing wheel, and same-instant events follow the serial
+// tie-break documented at sim.Engine.AtLinkCall. Parallelism lives only
+// above the testbed — independent sweep cells run on a worker pool
+// (Scale.Cores, `flexbench -cores`) and scenario jobs on the service's
+// worker pool — so concurrent goroutines never share an engine. Hot-path
+// pools and freelists are single-threaded by design and hang off their
+// engine via Engine.Local (packet pools, frame pools), so concurrent
+// testbeds share none; package-level defaults serve single-threaded
+// entry points only and are annotated `//flexvet:sharedstate
+// entry-confined` (inventoried in SHAREDSTATE.md).
 //
 // # Passive flow analysis: the tap observation contract
 //
@@ -323,7 +283,8 @@
 //     nothing; the CI gate is TestFlowmonAllocBudget (≤ 2 allocations per
 //     packet under AllocsPerRun, covering slab growth). Reports are
 //     deterministic by construction — establishment-ordered flow scans,
-//     byte-identical Format across reruns and across Fleet shard counts.
+//     byte-identical Format across reruns and however a stream is split
+//     across a Fleet's analyzers.
 //
 //   - Asserted inference tolerances. Cross-validation against stack
 //     ground truth (internal/flowmon/xval, cmd/flextrace diff) is part of
@@ -363,9 +324,8 @@
 //
 //   - Canonical, deterministic results. A Result marshals to one
 //     canonical byte sequence (Result.Canonical); the same spec produces
-//     byte-identical payloads on rerun, at any engine shard count, at
-//     any server worker-pool width, and across server restarts
-//     (TestRerunIsByteIdentical, TestShardCountInvariance, the CI
+//     byte-identical payloads on rerun, at any server worker-pool width,
+//     and across server restarts (TestRerunIsByteIdentical, the CI
 //     scenario-serve job). The scenario packages sit inside the flexvet
 //     determinism perimeter: no wall-clock reads, no global randomness,
 //     no map-order iteration — job ids derive from a submission sequence
@@ -400,7 +360,7 @@
 //     *Call variant exists (At/AtCall and friends) is flagged.
 //   - sharedstate: reporting-only; inventories package-level mutable
 //     state into SHAREDSTATE.md and classifies each variable against the
-//     sharding contract above (shard-confined defaults included).
+//     concurrency rule above (entry-confined defaults included).
 //
 // Suppression convention: a deliberate exception is annotated in place
 // with a machine-checked comment on the diagnosed line or the line above,

@@ -1,32 +1,35 @@
-// Package sharedstate is the reporting pass behind ROADMAP item 1 (the
-// sharded parallel engine): before the event loop can be split across
-// per-core shards, every piece of state reachable from more than one
-// shard has to be known and classified. In this codebase each simulated
-// host/TOE hangs off its own struct, so the cross-shard mutable surface
-// is exactly the package-level variable set — global pools, global
-// counters, and any other package state shared by all instances.
+// Package sharedstate is the reporting pass behind the concurrency
+// contract (doc.go "Concurrency"): each testbed runs on one sim.Engine,
+// and independent engines run concurrently — sweep cells on a worker
+// pool, service jobs on the job pool — so every piece of state reachable
+// from more than one engine has to be known and classified. In this
+// codebase each simulated host/TOE hangs off its own struct, so the
+// cross-engine mutable surface is exactly the package-level variable set
+// — global pools, global counters, and any other package state shared by
+// all instances.
 //
 // The pass inventories every package-level `var` and classifies it:
 //
 //   - pool: a global object pool (shm.Freelist, shm.Slab, or a struct
-//     wrapping them). Single-threaded by design today; sharding needs a
-//     per-shard instance or a lock-free variant.
+//     wrapping them). Single-threaded by design, so concurrent engines
+//     need a per-engine instance or a lock-free variant.
 //   - stats: global counters written on the hot path (PoolStats and
-//     friends). Sharding needs per-shard counters merged at readout, or
-//     the gates lose bit-determinism.
+//     friends). Concurrent engines need per-engine counters, or the gates
+//     lose bit-determinism.
 //   - synchronized: carries its own sync/atomic machinery (the netsim
 //     interface-ID allocator, whose per-testbed relative order is all the
 //     event tie-break needs).
-//   - shard-confined: annotated `//flexvet:sharedstate shard-confined
+//   - entry-confined: annotated `//flexvet:sharedstate entry-confined
 //     <why>` in the var's doc comment — a default instance reached only
 //     from single-threaded entry points (tests, examples, standalone
-//     tools), while every sharded hot path uses the per-engine instance
+//     tools), while every hot path uses the per-engine instance
 //     (sim.Engine.Local). The annotation is an audited claim: the why is
 //     committed to SHAREDSTATE.md with the var.
 //   - immutable-after-init: written only by initializer expressions or
-//     init functions; safe to share read-only across shards.
+//     init functions; safe to share read-only across engines.
 //   - shared-mutable: everything else — written at runtime from ordinary
-//     functions; each one needs an explicit sharding decision.
+//     functions; each one needs an explicit decision before engines may
+//     touch it concurrently.
 //
 // Unlike the four enforcing passes, sharedstate reports no diagnostics:
 // its Run result is the inventory ([]Var), and cmd/flexvet -sharedstate
@@ -49,7 +52,7 @@ import (
 var Analyzer = &flexanalysis.Analyzer{
 	Name: "sharedstate",
 	Doc: "inventory package-level mutable state and classify it for the " +
-		"sharded engine (pool / stats / synchronized / shard-confined / " +
+		"concurrently running engines (pool / stats / synchronized / entry-confined / " +
 		"immutable-after-init / shared-mutable)",
 	Run: run,
 }
@@ -59,27 +62,28 @@ type Var struct {
 	Pkg     string // import path
 	Name    string
 	Type    string   // rendered with package-qualified names
-	Class   string   // pool | stats | synchronized | shard-confined | immutable-after-init | shared-mutable
+	Class   string   // pool | stats | synchronized | entry-confined | immutable-after-init | shared-mutable
 	Writers []string // functions performing non-init writes (sorted, deduped)
 	Pos     string   // file:line, path relative to the package directory
 	Doc     string   // first sentence of the var's doc comment, if any
 }
 
-// ShardingNote maps a classification to the action ROADMAP item 1 needs.
-func ShardingNote(class string) string {
+// EngineNote maps a classification to the action concurrently running
+// engines need.
+func EngineNote(class string) string {
 	switch class {
 	case "pool":
-		return "per-shard instance (freelists are single-threaded by design)"
+		return "per-engine instance (freelists are single-threaded by design)"
 	case "stats":
-		return "per-shard counters, merged deterministically at readout"
+		return "per-engine counters"
 	case "synchronized":
-		return "already synchronized; audit for shard-quantum ordering"
-	case "shard-confined":
-		return "single-threaded entry points only; sharded hot paths use the per-engine instance (Engine.Local)"
+		return "already synchronized; audit that only per-testbed relative order matters"
+	case "entry-confined":
+		return "single-threaded entry points only; hot paths use the per-engine instance (Engine.Local)"
 	case "immutable-after-init":
 		return "share read-only"
 	default:
-		return "explicit sharding decision required"
+		return "explicit decision required before engines share it"
 	}
 }
 
@@ -197,8 +201,8 @@ func run(pass *flexanalysis.Pass) (any, error) {
 		if confined[obj] {
 			// The directive is an audited claim that outranks the type
 			// rules: a default pool stays a pool structurally, but its
-			// sharding story is "never reached from a sharded path".
-			v.Class = "shard-confined"
+			// story is "never reached from an engine's hot path".
+			v.Class = "entry-confined"
 		} else {
 			v.Class = classify(obj.Type(), v.Name, len(w) > 0)
 		}
@@ -323,14 +327,14 @@ func containsSync(t types.Type, depth int) bool {
 }
 
 // confinedDirective reports whether the var's doc comment carries the
-// `//flexvet:sharedstate shard-confined` directive.
+// `//flexvet:sharedstate entry-confined` directive.
 func confinedDirective(gd *ast.GenDecl, vs *ast.ValueSpec) bool {
 	for _, doc := range []*ast.CommentGroup{vs.Doc, vs.Comment, gd.Doc} {
 		if doc == nil {
 			continue
 		}
 		for _, c := range doc.List {
-			if strings.HasPrefix(c.Text, "//flexvet:sharedstate shard-confined") {
+			if strings.HasPrefix(c.Text, "//flexvet:sharedstate entry-confined") {
 				return true
 			}
 		}
@@ -369,22 +373,23 @@ func Report(all []Var) string {
 	b.WriteString("Generated by `flexvet -sharedstate ./...` (the sharedstate pass); kept in\n")
 	b.WriteString("sync by `TestSharedStateReportCurrent`. Do not edit by hand.\n\n")
 	b.WriteString("Every simulated host/TOE hangs off its own struct, so the variables below\n")
-	b.WriteString("are exactly the state shared across all of them — the surface the sharded\n")
-	b.WriteString("engine (PR 7, doc.go \"Sharding contract\") partitions per shard (pool/stats:\n")
-	b.WriteString("per-engine instances via sim.Engine.Local), confines to single-threaded\n")
-	b.WriteString("entry points (shard-confined), or leaves safely shared.\n\n")
+	b.WriteString("are exactly the state shared across all of them. Each testbed runs on one\n")
+	b.WriteString("engine and engines run concurrently (sweep cells, service jobs; doc.go\n")
+	b.WriteString("\"Concurrency\"), so this surface is kept per engine (pool/stats:\n")
+	b.WriteString("per-engine instances via sim.Engine.Local), confined to single-threaded\n")
+	b.WriteString("entry points (entry-confined), or left safely shared.\n\n")
 
 	counts := map[string]int{}
 	for _, v := range all {
 		counts[v.Class]++
 	}
 	b.WriteString("## Summary\n\n")
-	b.WriteString("| class | count | sharding action |\n|---|---|---|\n")
-	for _, class := range []string{"pool", "stats", "synchronized", "shard-confined", "shared-mutable", "immutable-after-init"} {
+	b.WriteString("| class | count | action |\n|---|---|---|\n")
+	for _, class := range []string{"pool", "stats", "synchronized", "entry-confined", "shared-mutable", "immutable-after-init"} {
 		if counts[class] == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "| %s | %d | %s |\n", class, counts[class], ShardingNote(class))
+		fmt.Fprintf(&b, "| %s | %d | %s |\n", class, counts[class], EngineNote(class))
 	}
 	b.WriteString("\n## Inventory\n\n")
 

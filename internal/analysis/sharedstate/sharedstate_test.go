@@ -95,7 +95,7 @@ func TestReportDeterministic(t *testing.T) {
 	for _, frag := range []string{
 		"# SHAREDSTATE", "## Summary", "## Inventory",
 		"flextoe/internal/core/sstest",
-		"`entryFree`", "per-shard instance",
+		"`entryFree`", "per-engine instance",
 	} {
 		if !strings.Contains(ra, frag) {
 			t.Errorf("report missing %q", frag)

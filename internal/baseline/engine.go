@@ -53,7 +53,7 @@ type Stack struct {
 	// the testbed).
 	ResolveMAC func(ip packet.IPv4Addr) packet.EtherAddr
 
-	// Shard-local pools (SHAREDSTATE.md): packets/frames come from this
+	// Per-engine pools (SHAREDSTATE.md): packets/frames come from this
 	// stack's engine, and segFree recycles segment work carriers per
 	// stack.
 	pkts    *packet.Pool
@@ -123,7 +123,7 @@ func (s *Stack) Name() string { return s.prof.Name }
 // Machine returns the application CPU model.
 func (s *Stack) Machine() *host.Machine { return s.machine }
 
-// Engine returns the shard engine this stack runs on.
+// Engine returns the engine this stack runs on.
 func (s *Stack) Engine() *sim.Engine { return s.eng }
 
 // LocalIP returns the machine address.

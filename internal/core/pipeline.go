@@ -87,10 +87,10 @@ type TOE struct {
 	segPool  *shm.Pool
 	descPool *shm.Pool
 
-	// Shard-local pools: packets/frames come from this TOE's engine
+	// Per-engine pools: packets/frames come from this TOE's engine
 	// (packet.PoolOf/netsim.FramesOf), and monoFree recycles the
 	// run-to-completion work carriers per TOE. No pool state is shared
-	// across shard engines (SHAREDSTATE.md).
+	// across engines (SHAREDSTATE.md).
 	pkts     *packet.Pool
 	frames   *netsim.FramePool
 	monoFree shm.Freelist[monoWork]

@@ -6,9 +6,9 @@
 //
 // Every runner accepts a Scale: Quick shrinks durations and sweep points
 // for CI/benchmark runs; Full approaches the paper's parameters; Cores
-// spreads a run over host cores (independent sweep cells on a worker
-// pool, plus sharded engines inside the fabric experiments) without
-// changing any result — sharded runs are bit-identical to serial ones.
+// spreads a run's independent sweep cells over a worker pool of host
+// cores without changing any result — each cell is its own testbed on
+// its own engine.
 package experiments
 
 import (
@@ -131,7 +131,7 @@ func scalingTable(id, title string, maxCores int, run func(cores int)) *Table {
 		ID:     id,
 		Title:  title,
 		Header: []string{"Cores", "Wall (ms)", "Speedup"},
-		Notes:  "same seeded cells at every core count — results are bit-identical, only wall-clock changes (doc.go \"Sharding contract\")",
+		Notes:  "same seeded cells at every core count — results are bit-identical, only wall-clock changes (doc.go \"Concurrency\")",
 	}
 	var base float64
 	for _, c := range scalingCoreCounts {

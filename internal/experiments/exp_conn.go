@@ -52,15 +52,6 @@ func installIdleFleet(m *testbed.Machine, n int) {
 	}
 }
 
-// totalProcessed sums executed events over all shard engines.
-func totalProcessed(tb *testbed.Testbed) uint64 {
-	var n uint64
-	for _, e := range tb.Group.Engines() {
-		n += e.Processed()
-	}
-	return n
-}
-
 // churnLoop drives dial-and-immediately-close waves against a listener
 // that also closes on accept: every connection runs the full
 // SYN/establish/FIN/linger/reclaim lifecycle. Returns the number of dials
@@ -110,9 +101,9 @@ func fig9Sweep(s Scale) *Table {
 
 		// Idle window: nothing moves; only timer/controller maintenance
 		// events run. Before the wheel-armed timers this grew O(n).
-		p0 := totalProcessed(tb)
+		p0 := tb.Eng.Processed()
 		tb.Run(idleWin)
-		idlePerMs := float64(totalProcessed(tb)-p0) / (float64(idleWin) / float64(sim.Millisecond))
+		idlePerMs := float64(tb.Eng.Processed()-p0) / (float64(idleWin) / float64(sim.Millisecond))
 
 		// Active phase: a small hot set on top of the idle fleet.
 		rpc := &apps.RPCServer{ReqSize: 64}

@@ -38,15 +38,13 @@ type fig17IncastResult struct {
 // fig17IncastPoint runs one N-to-1 incast point on a three-rack fabric:
 // the aggregator alone in rack 0, sender hosts spread over racks 1-2, and
 // fan-in connections spread over the sender hosts. All machines run
-// FlexTOE with the given control-plane congestion-control policy. cores
-// selects the engine-shard count (rack-affine placement); any value
-// produces bit-identical results to cores=1 (TestParallelMatchesSerial).
+// FlexTOE with the given control-plane congestion-control policy.
 // The point runs through the scenario builder (the spec below is the
 // declarative form of the original harness — same seeds, same warmup
-// boundary), and TestParallelMatchesSerial plus the determinism gates
-// prove the numbers stayed bit-identical across the refactor.
+// boundary), and the determinism gates prove the numbers stayed
+// bit-identical across the refactor.
 // examples/scenarios/incast16.json is the 16-way point in JSON clothing.
-func fig17IncastPoint(cores, fanIn int, cc ctrl.CCAlgo, d sim.Time) fig17IncastResult {
+func fig17IncastPoint(fanIn int, cc ctrl.CCAlgo, d sim.Time) fig17IncastResult {
 	hosts := fanIn
 	if hosts > 8 {
 		hosts = 8
@@ -59,7 +57,6 @@ func fig17IncastPoint(cores, fanIn int, cc ctrl.CCAlgo, d sim.Time) fig17IncastR
 		// the builder resets queue stats and measurement at the boundary
 		// so all columns measure the same post-warmup window.
 		WarmupUs: int64(d / 4 / sim.Microsecond),
-		Cores:    cores,
 		Topology: scenario.Topology{
 			Kind: scenario.TopoFabric,
 			Fabric: &scenario.FabricSpec{
@@ -139,7 +136,7 @@ type fig17OversubResult struct {
 // bottleneck and the host-facing queue goes quiet — congestion has moved
 // from leaf egress to the uplink, and the ECN marks (what DCTCP reacts
 // to) move with it.
-func fig17OversubPoint(cores int, trunkGbps float64, d sim.Time) fig17OversubResult {
+func fig17OversubPoint(trunkGbps float64, d sim.Time) fig17OversubResult {
 	const hosts = 4
 	fc := fabric.Config{
 		Leaves: 2, Spines: 1,
@@ -165,7 +162,7 @@ func fig17OversubPoint(cores int, trunkGbps float64, d sim.Time) fig17OversubRes
 			Rack: 1, BufSize: 1 << 17, CC: ctrl.CCDCTCP, Seed: uint64(1730 + i),
 		})
 	}
-	tb := testbed.NewFabricCores(cores, fc, specs...)
+	tb := testbed.NewFabric(fc, specs...)
 
 	g := &workload.IncastGroup{BlockBytes: 32768}
 	g.Serve(tb.M("agg").Stack, 9600)
@@ -202,7 +199,7 @@ func fig17OversubPoint(cores int, trunkGbps float64, d sim.Time) fig17OversubRes
 // splits come from Report.GroupTotals over the same CRC-32 flow hash the
 // ECMP stage forwards with. The taps are passive — attaching them left
 // the spine byte counts bit-identical (TestTapsDoNotPerturbSimulation).
-func fig17ECMPPoint(cores, spines, flows int, d sim.Time) (spineBytes []uint64, maxOverFair float64, racks []*flowmon.Report) {
+func fig17ECMPPoint(spines, flows int, d sim.Time) (spineBytes []uint64, maxOverFair float64, racks []*flowmon.Report) {
 	fc := fabric.Config{Leaves: 2, Spines: spines, Seed: 171_000 + uint64(spines)}
 	const hostsPerSide = 4
 	var specs []testbed.MachineSpec
@@ -214,7 +211,7 @@ func fig17ECMPPoint(cores, spines, flows int, d sim.Time) (spineBytes []uint64, 
 				Rack: 0, BufSize: 1 << 17, Seed: uint64(1760 + i)},
 		)
 	}
-	tb := testbed.NewFabricCores(cores, fc, specs...)
+	tb := testbed.NewFabric(fc, specs...)
 
 	fleets := make([]*flowmon.Fleet, fc.Leaves)
 	for r := range fleets {
@@ -266,7 +263,9 @@ func fig17ECMPPoint(cores, spines, flows int, d sim.Time) (spineBytes []uint64, 
 // Fig17 is a reproduction extension: FlexTOE's congestion control on a
 // leaf–spine fabric. 17a sweeps N-to-1 incast fan-in against the control
 // plane's CC policies; 17b measures per-flow ECMP load balance across the
-// spines.
+// spines; 17c moves the congestion point with trunk oversubscription.
+// With Scale.Cores > 1 the sweep points run on a worker pool (results
+// identical to serial).
 func Fig17(s Scale) []*Table {
 	incast := &Table{
 		ID:     "Figure 17a",
@@ -285,16 +284,17 @@ func Fig17(s Scale) []*Table {
 		{"CCDCTCP", ctrl.CCDCTCP},
 		{"CCTimely", ctrl.CCTimely},
 	}
-	for _, fanIn := range fanIns {
-		for _, c := range ccs {
-			r := fig17IncastPoint(s.cores(), fanIn, c.cc, d)
-			incast.AddRow(fmt.Sprintf("%d", fanIn), c.name,
-				f2(r.goodputGbps), f1(r.p50us), f1(r.p99us),
-				fmt.Sprintf("%d", r.rounds),
-				f1(float64(r.peakQ)/1024),
-				fmt.Sprintf("%d", r.ecnMarks),
-				f1(r.retxKB))
-		}
+	incastRes := make([]fig17IncastResult, len(fanIns)*len(ccs))
+	runCells(s.cores(), len(incastRes), func(i int) {
+		incastRes[i] = fig17IncastPoint(fanIns[i/len(ccs)], ccs[i%len(ccs)].cc, d)
+	})
+	for i, r := range incastRes {
+		incast.AddRow(fmt.Sprintf("%d", fanIns[i/len(ccs)]), ccs[i%len(ccs)].name,
+			f2(r.goodputGbps), f1(r.p50us), f1(r.p99us),
+			fmt.Sprintf("%d", r.rounds),
+			f1(float64(r.peakQ)/1024),
+			fmt.Sprintf("%d", r.ecnMarks),
+			f1(r.retxKB))
 	}
 
 	ecmp := &Table{
@@ -309,32 +309,41 @@ func Fig17(s Scale) []*Table {
 		Header: []string{"Spines", "Flows", "Rack", "Spine", "Split flows", "Retx segs", "DupAcks", "RTT n", "RTT mean (us)"},
 		Notes:  "passive Fleet per leaf (ROADMAP 5c): per-spine groups partition each rack's observed flows by packet.Flow.Hash % spines — the exact uplink choice — so skew in the balance table above decomposes into which flows shared a spine",
 	}
+	spineCounts := []int{2, 4}
 	flowCounts := s.pick([]int{64}, []int{64, 256})
 	dE := s.dur(20*sim.Millisecond, 60*sim.Millisecond)
-	for _, spines := range []int{2, 4} {
-		for _, flows := range flowCounts {
-			bytes, maxOverFair, racks := fig17ECMPPoint(s.cores(), spines, flows, dE)
-			per := ""
-			for i, b := range bytes {
-				if i > 0 {
-					per += " / "
-				}
-				per += f1(float64(b) / 1e6)
+	type ecmpCell struct {
+		bytes       []uint64
+		maxOverFair float64
+		racks       []*flowmon.Report
+	}
+	ecmpRes := make([]ecmpCell, len(spineCounts)*len(flowCounts))
+	runCells(s.cores(), len(ecmpRes), func(i int) {
+		c := &ecmpRes[i]
+		c.bytes, c.maxOverFair, c.racks = fig17ECMPPoint(spineCounts[i/len(flowCounts)], flowCounts[i%len(flowCounts)], dE)
+	})
+	for i, c := range ecmpRes {
+		spines, flows := spineCounts[i/len(flowCounts)], flowCounts[i%len(flowCounts)]
+		per := ""
+		for j, b := range c.bytes {
+			if j > 0 {
+				per += " / "
 			}
-			ecmp.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows), per, f2(maxOverFair))
-			for rack, rep := range racks {
-				groups := rep.GroupTotals(spines, func(f *flowmon.FlowReport) int {
-					return int(f.Flow.Hash() % uint32(spines))
-				})
-				for spine, gt := range groups {
-					split.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows),
-						fmt.Sprintf("%d", rack), fmt.Sprintf("%d", spine),
-						fmt.Sprintf("%d", gt.Flows),
-						fmt.Sprintf("%d", gt.RetxSegs),
-						fmt.Sprintf("%d", gt.DupAcks),
-						fmt.Sprintf("%d", gt.RTTN),
-						f1(gt.RTTMeanUs()))
-				}
+			per += f1(float64(b) / 1e6)
+		}
+		ecmp.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows), per, f2(c.maxOverFair))
+		for rack, rep := range c.racks {
+			groups := rep.GroupTotals(spines, func(f *flowmon.FlowReport) int {
+				return int(f.Flow.Hash() % uint32(spines))
+			})
+			for spine, gt := range groups {
+				split.AddRow(fmt.Sprintf("%d", spines), fmt.Sprintf("%d", flows),
+					fmt.Sprintf("%d", rack), fmt.Sprintf("%d", spine),
+					fmt.Sprintf("%d", gt.Flows),
+					fmt.Sprintf("%d", gt.RetxSegs),
+					fmt.Sprintf("%d", gt.DupAcks),
+					fmt.Sprintf("%d", gt.RTTN),
+					f1(gt.RTTMeanUs()))
 			}
 		}
 	}
@@ -347,21 +356,14 @@ func Fig17(s Scale) []*Table {
 	}
 	trunks := s.pick([]int{200, 30}, []int{200, 100, 30})
 	dO := s.dur(8*sim.Millisecond, 40*sim.Millisecond)
-	for _, trunk := range trunks {
-		r := fig17OversubPoint(s.cores(), float64(trunk), dO)
-		oversub.AddRow(fmt.Sprintf("%d", trunk), f2(r.goodputGbps), f1(r.p99us),
+	oversubRes := make([]fig17OversubResult, len(trunks))
+	runCells(s.cores(), len(trunks), func(i int) {
+		oversubRes[i] = fig17OversubPoint(float64(trunks[i]), dO)
+	})
+	for i, r := range oversubRes {
+		oversub.AddRow(fmt.Sprintf("%d", trunks[i]), f2(r.goodputGbps), f1(r.p99us),
 			f1(float64(r.peakUplinkQ)/1024), f1(float64(r.peakHostQ)/1024),
 			fmt.Sprintf("%d", r.uplinkMarks), fmt.Sprintf("%d", r.hostMarks))
 	}
-	out := []*Table{incast, ecmp, split, oversub}
-	if s.cores() > 1 {
-		out = append(out, scalingTable("Figure 17 (harness scaling)",
-			"Fig 17a incast sweep wall-clock vs engine shards (identical results at every row)",
-			s.cores(), func(c int) {
-				for _, fanIn := range fanIns {
-					fig17IncastPoint(c, fanIn, ctrl.CCDCTCP, d)
-				}
-			}))
-	}
-	return out
+	return []*Table{incast, ecmp, split, oversub}
 }

@@ -23,7 +23,7 @@
 //     index — the PR-8 slab idiom — with first-seen-order readout, and
 //     every per-flow structure is fixed-size.
 //   - Deterministic: same packet stream, same report, bit for bit; one
-//     analyzer per tap keeps state shard-confined, and Fleet merges
+//     analyzer per tap keeps state per tap point, and Fleet merges
 //     analyzer reports at readout in attach order.
 //
 // Inference tolerances — what a passive observer provably cannot see —
@@ -194,7 +194,7 @@ type flowState struct {
 }
 
 // Analyzer is one streaming tap analyzer. Not safe for concurrent use:
-// attach one analyzer per tap point (per shard), merge with a Fleet.
+// attach one analyzer per tap point, merge with a Fleet.
 type Analyzer struct {
 	cfg Config
 

@@ -263,10 +263,10 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// Fleet merges per-shard analyzers at readout, in attach order — the
-// sharding contract's deterministic merge (doc.go). Each analyzer
-// remains single-tap/single-shard; the fleet never touches them during
-// a run.
+// Fleet merges several analyzers (one per tap point, e.g. every host NIC
+// in a rack) at readout, in attach order, so the merged report is
+// deterministic. Each analyzer remains single-tap; the fleet never
+// touches them during a run.
 type Fleet struct {
 	mons []*Analyzer
 }

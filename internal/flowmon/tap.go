@@ -10,7 +10,6 @@ import (
 // TxTap sees what the host sends (at send time), RxTap what it receives
 // (at delivery). The taps are zero simulated cost and take no ownership;
 // each packet crosses the NIC exactly once, so nothing double-counts.
-// One analyzer per interface keeps state on the interface's shard.
 func Attach(a *Analyzer, ifc *netsim.Iface) {
 	ifc.TxTap = a.Observe
 	ifc.RxTap = a.Observe

@@ -14,10 +14,10 @@ import (
 // costProbe is one observability-cost measurement: a saturating small-RPC
 // workload with optional full tracing and optional passive NIC taps.
 type costProbe struct {
-	completed uint64   // closed-loop RPCs finished in the fixed window
-	rxSegs    uint64   // server TOE segments processed
-	txSegs    uint64   // server TOE segments emitted
-	events    []uint64 // per-engine processed event counts
+	completed uint64 // closed-loop RPCs finished in the fixed window
+	rxSegs    uint64 // server TOE segments processed
+	txSegs    uint64 // server TOE segments emitted
+	events    uint64 // engine events processed
 }
 
 func runCostProbe(traceAll, taps bool) costProbe {
@@ -39,11 +39,7 @@ func runCostProbe(traceAll, taps bool) costProbe {
 	cl.Start(tb.M("client").Stack, tb.Addr("server", 7777), 100)
 	tb.Run(5 * sim.Millisecond)
 
-	p := costProbe{completed: cl.Completed, rxSegs: srv.TOE.RxSegs, txSegs: srv.TOE.TxSegs}
-	for _, e := range tb.Group.Engines() {
-		p.events = append(p.events, e.Processed())
-	}
-	return p
+	return costProbe{completed: cl.Completed, rxSegs: srv.TOE.RxSegs, txSegs: srv.TOE.TxSegs, events: tb.Eng.Processed()}
 }
 
 // TestTracepointCostRegression: enabling all 48 tracepoints charges
@@ -74,12 +70,7 @@ func TestAnalyzerTapZeroCost(t *testing.T) {
 	if bare.completed != tapped.completed || bare.rxSegs != tapped.rxSegs || bare.txSegs != tapped.txSegs {
 		t.Fatalf("taps perturbed the run: bare %+v, tapped %+v", bare, tapped)
 	}
-	if len(bare.events) != len(tapped.events) {
-		t.Fatalf("engine counts differ: %v vs %v", bare.events, tapped.events)
-	}
-	for i := range bare.events {
-		if bare.events[i] != tapped.events[i] {
-			t.Fatalf("engine %d processed %d events bare, %d tapped", i, bare.events[i], tapped.events[i])
-		}
+	if bare.events != tapped.events {
+		t.Fatalf("engine processed %d events bare, %d tapped", bare.events, tapped.events)
 	}
 }

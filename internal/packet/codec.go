@@ -23,8 +23,7 @@ type Packet struct {
 	// buf is the retained payload backing of a pooled packet (GrowPayload
 	// carves Payload from it); pooled marks packets obtained from a Pool
 	// so Release is a safe no-op on ordinary &Packet{} literals; pool is
-	// the shard pool that currently owns the packet (re-pointed by
-	// Pool.Adopt when a frame crosses a shard boundary).
+	// the pool the packet came from.
 	buf    []byte
 	pooled bool
 	pool   *Pool

@@ -6,15 +6,18 @@ import "encoding/json"
 // is computed from simulation state with the exact arithmetic the
 // hand-written experiment runners use, and the struct marshals with a
 // fixed field order, so the same spec produces byte-identical payloads
-// on every rerun, at any engine-shard count, and at any service
-// worker-pool width. The payload carries no timestamps, host names, or
-// other run-environment state by design.
+// on every rerun and at any service worker-pool width. The payload
+// carries no timestamps, host names, or other run-environment state by
+// design.
 type Result struct {
-	Name       string `json:"name"`
-	Seed       uint64 `json:"seed"`
-	Cores      int    `json:"cores"`
-	DurationUs int64  `json:"duration_us"`
-	WarmupUs   int64  `json:"warmup_us"`
+	Name string `json:"name"`
+	Seed uint64 `json:"seed"`
+	// Cores is always 1: every scenario runs on one engine. It stays in
+	// the payload because dropping it would change every payload digest
+	// (TestPayloadDigestsPinned), a payload-format change of its own.
+	Cores      int   `json:"cores"`
+	DurationUs int64 `json:"duration_us"`
+	WarmupUs   int64 `json:"warmup_us"`
 
 	Machines  []MachineResult  `json:"machines,omitempty"`
 	Switch    *SwitchResult    `json:"switch,omitempty"`

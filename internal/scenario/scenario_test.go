@@ -84,6 +84,8 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		{"sack on baseline", strings.Replace(base, `"stack": "flextoe", "cores": 2, "buf_bytes": 262144, "sack": true, "seed": 155`, `"stack": "linux", "sack": true`, 1), "sack applies to flextoe"},
 		{"rack out of range", strings.Replace(incastSpec(), `"rack": 2`, `"rack": 7`, 1), "out of range"},
 		{"fleets plus flowmon", strings.Replace(incastSpec(), `"per_rack_fleets": true`, `"per_rack_fleets": true, "flowmon": [{"machine": "agg"}]`, 1), "excludes explicit flowmon"},
+		// There is no top-level cores: every scenario runs on one engine.
+		{"top-level cores", strings.Replace(base, `"duration_us": 2000,`, `"duration_us": 2000, "cores": 2,`, 1), "unknown field"},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.spec)); err == nil {
@@ -146,18 +148,6 @@ func TestChunkedRunMatchesUnchunked(t *testing.T) {
 	}
 	if !bytes.Equal(plain, chunked) {
 		t.Fatalf("chunked execution changed the payload")
-	}
-}
-
-func TestShardCountInvariance(t *testing.T) {
-	serial := mustRun(t, bulkSpec(), nil)
-	sharded := mustRun(t, strings.Replace(bulkSpec(),
-		`"duration_us": 2000,`, `"duration_us": 2000, "cores": 3,`, 1), nil)
-	// The payloads may differ only in the echoed core count.
-	sharded.Cores = serial.Cores
-	if !bytes.Equal(serial.Canonical(), sharded.Canonical()) {
-		t.Fatalf("sharded run diverged from serial:\n%s\n---\n%s",
-			serial.Canonical(), sharded.Canonical())
 	}
 }
 

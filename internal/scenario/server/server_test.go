@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -265,6 +266,50 @@ func TestPersistenceSurvivesRestart(t *testing.T) {
 	}
 	if len(list) != 1 || list[0].ID != id || list[0].State != StateDone {
 		t.Fatalf("restarted job list: %+v", list)
+	}
+}
+
+// TestReloadSpecThatNoLongerParses restarts over a job directory whose
+// specs carry a field later removed from the format (the top-level
+// engine "cores" count). The server must still start: a job with a
+// stored result stays done and serves it, a job without one reloads as
+// failed with the parse error instead of running.
+func TestReloadSpecThatNoLongerParses(t *testing.T) {
+	dir := t.TempDir()
+	old := strings.Replace(smallSpec, `"duration_us": 1500,`, `"duration_us": 1500, "cores": 2,`, 1)
+	stored := []byte("{\n  \"name\": \"srv-bulk\",\n  \"cores\": 2\n}\n")
+	files := map[string][]byte{
+		"j000000-00000001.spec.json":   []byte(old),
+		"j000000-00000001.result.json": stored,
+		"j000001-00000002.spec.json":   []byte(old),
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newTestServer(t, 1, dir)
+
+	if got := fetchResult(t, ts.URL, "j000000-00000001"); !bytes.Equal(got, stored) {
+		t.Fatalf("done job served %q, want the stored result", got)
+	}
+	for id, want := range map[string]string{"j000000-00000001": StateDone, "j000001-00000002": StateFailed} {
+		resp, err := http.Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != want {
+			t.Fatalf("job %s reloaded as %q, want %q", id, st.State, want)
+		}
+		if want == StateFailed && !strings.Contains(st.Error, "unknown field") {
+			t.Fatalf("job %s error %q does not carry the parse error", id, st.Error)
+		}
 	}
 }
 

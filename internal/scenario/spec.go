@@ -11,12 +11,11 @@
 //
 // Determinism contract (doc.go "Scenario service"): a Spec fully seeds
 // every random stream, so the same spec produces byte-identical Result
-// payloads on every rerun, at any engine-shard count (Spec.Cores), and
-// regardless of how many other scenarios run concurrently in the same
-// process. Validation is strict: unknown JSON fields, dangling machine
-// references, and parameter combinations that would violate the
-// determinism or pooling contracts are rejected before anything is
-// built.
+// payloads on every rerun and regardless of how many other scenarios run
+// concurrently in the same process. Validation is strict: unknown JSON
+// fields, dangling machine references, and parameter combinations that
+// would violate the determinism or pooling contracts are rejected before
+// anything is built.
 package scenario
 
 import (
@@ -39,14 +38,11 @@ type Spec struct {
 	// workload histograms reset and counter baselines snapshot, so every
 	// result column covers the same post-warmup window.
 	WarmupUs int64 `json:"warmup_us,omitempty"`
-	// Cores shards the simulation engines (testbed.NewCores semantics);
-	// results are bit-identical at every value.
-	Cores int `json:"cores,omitempty"`
 
-	Topology  Topology  `json:"topology"`
-	Machines  []Machine `json:"machines"`
+	Topology  Topology   `json:"topology"`
+	Machines  []Machine  `json:"machines"`
 	Workloads []Workload `json:"workloads"`
-	Measure   Measure   `json:"measure,omitempty"`
+	Measure   Measure    `json:"measure,omitempty"`
 }
 
 // Topology selects the network between the NICs.
@@ -333,10 +329,6 @@ func (s *Spec) Validate() error {
 	if s.WarmupUs < 0 {
 		return errf("warmup_us must be >= 0")
 	}
-	if s.Cores < 0 {
-		return errf("cores must be >= 0")
-	}
-
 	racks := 1
 	switch s.Topology.Kind {
 	case TopoTestbed:

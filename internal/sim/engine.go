@@ -79,10 +79,10 @@ func Cycles(n int64, hz int64) Time {
 // arg, which boxes into the interface without allocating, so every event
 // has this one shape.
 //
-// dkey is the delivery key used by cross-engine-safe ordering (see
-// before): 0 for ordinary local events, and a nonzero link-scoped key
-// (link id in the high bits, per-link transmit sequence in the low bits)
-// for frame-delivery events scheduled through AtLinkCall/Inject.
+// dkey is the delivery key of the same-instant tie-break (see before): 0
+// for ordinary local events, and a nonzero link-scoped key (link id in the
+// high bits, per-link transmit sequence in the low bits) for
+// frame-delivery events scheduled through AtLinkCall.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break: FIFO among same-instant local events
@@ -96,14 +96,13 @@ func callFn(a any) { a.(func())() }
 
 // before reports whether a orders strictly before b in execution order.
 //
-// Same-instant ordering is the sharding contract's linchpin: local events
-// (dkey 0) run before deliveries, and deliveries order by dkey — a key
-// derived from the transmitting link, identical whether the delivery was
-// scheduled locally (serial mode, or an intra-shard link) or injected
-// across a shard boundary. The per-engine seq breaks the remaining ties
-// (local vs local), which is mode-independent because each entity's
-// scheduling order is reproduced exactly by its own shard. Two
-// deliveries never share (at, dkey): a link serializes, so per-link
+// The same-instant tie-break is part of the simulation's semantics, not
+// an implementation detail: local events (dkey 0) run before frame
+// deliveries, deliveries order by dkey (transmitting link, then that
+// link's transmit sequence), and seq keeps local events FIFO. Ordering
+// deliveries by seq instead changes results — the pinned bulk-loss and
+// incast-small payload digests (scenario.TestPayloadDigestsPinned) move.
+// Two deliveries never share (at, dkey): a link serializes, so per-link
 // delivery instants are strictly increasing, and distinct links have
 // distinct dkeys.
 func (a *event) before(b *event) bool {
@@ -151,11 +150,6 @@ type Engine struct {
 	// always the global minimum when wheelCnt > 0.
 	overflow []event
 
-	// Sharding (nil/zero for a standalone engine, see shard.go): the
-	// group this engine belongs to and its index within it.
-	group *Group
-	id    int
-
 	// locals holds per-engine singletons (pools, freelists) keyed by an
 	// arbitrary comparable key; see Local.
 	locals map[any]any
@@ -192,9 +186,8 @@ func (e *Engine) AtCall(t Time, cb func(any), arg any) {
 
 // AtLinkCall schedules cb(arg) at absolute time t as a frame-delivery
 // event carrying the link-scoped ordering key dkey (nonzero). Deliveries
-// at the same instant execute after local events and in dkey order, which
-// is identical in serial and sharded mode — the determinism hinge of the
-// sharding contract (see the before comment and doc.go).
+// at the same instant execute after local events and in dkey order (see
+// the tie-break rule at before).
 func (e *Engine) AtLinkCall(t Time, dkey uint64, cb func(any), arg any) {
 	if dkey == 0 {
 		panic("sim: AtLinkCall requires a nonzero delivery key")
@@ -211,37 +204,11 @@ func (e *Engine) schedule(t Time, dkey uint64, cb func(any), arg any) {
 	e.insert(event{at: t, seq: e.seq, dkey: dkey, cb: cb, arg: arg})
 }
 
-// Inject schedules cb(arg) on dst at absolute time t with delivery key
-// dkey. When dst is this engine it is AtLinkCall; otherwise both engines
-// must belong to the same Group and the event crosses the shard boundary
-// through the group's per-pair ingress queue, applied at the next window
-// barrier. The caller must guarantee t is at or beyond the current
-// window's end — netsim's link model does, because every boundary link
-// registers its propagation delay as group lookahead and a transmission
-// serializes for at least one picosecond.
-func (e *Engine) Inject(dst *Engine, t Time, dkey uint64, cb func(any), arg any) {
-	if dst == e {
-		e.AtLinkCall(t, dkey, cb, arg)
-		return
-	}
-	if e.group == nil || e.group != dst.group {
-		panic("sim: Inject across unrelated engines")
-	}
-	e.group.enqueue(e.id, dst.id, xev{at: t, dkey: dkey, cb: cb, arg: arg})
-}
-
-// Group returns the shard group this engine belongs to, or nil for a
-// standalone engine.
-func (e *Engine) Group() *Group { return e.group }
-
-// ID returns this engine's index within its Group (0 for a standalone
-// engine).
-func (e *Engine) ID() int { return e.id }
-
 // Local returns the per-engine singleton stored under key, constructing
 // it with mk on first use. Pools and freelists are single-threaded by
-// design; hanging one instance off each engine keeps every shard's hot
-// path allocation-free without cross-shard sharing (see SHAREDSTATE.md).
+// design; hanging one instance off each engine keeps the hot path
+// allocation-free while testbeds that run concurrently (sweep cells,
+// service jobs) share nothing (see SHAREDSTATE.md).
 func (e *Engine) Local(key any, mk func() any) any {
 	if v, ok := e.locals[key]; ok {
 		return v
@@ -427,37 +394,6 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	for e.stepUntil(t) {
 	}
-	if !e.stopped && e.now < t {
-		e.now = t
-	}
-}
-
-// runWindow executes every pending event with timestamp strictly below
-// wend. It is the per-shard body of Group.RunUntil: within one window a
-// shard receives no new cross-shard input, so it can run without
-// coordination.
-func (e *Engine) runWindow(wend Time) {
-	for e.stepUntil(wend - 1) {
-	}
-}
-
-// pendingNext returns the timestamp of the next event to execute, for the
-// shard runner. A stopped engine reports no pending work so the group
-// doesn't spin on events it will never execute.
-func (e *Engine) pendingNext() (Time, bool) {
-	switch {
-	case e.stopped:
-		return 0, false
-	case e.wheelCnt > 0:
-		return e.wheelMin().at, true
-	case len(e.overflow) > 0:
-		return e.overflow[0].at, true
-	}
-	return 0, false
-}
-
-// advanceTo moves the clock forward to t without executing anything.
-func (e *Engine) advanceTo(t Time) {
 	if !e.stopped && e.now < t {
 		e.now = t
 	}

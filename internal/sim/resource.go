@@ -42,10 +42,10 @@ func (r *Resource) AcquireCall(n int64, extra Time, cb func(any), arg any) Time 
 // Reserve books the facility for n units without scheduling anything and
 // returns the completion time (transfer end plus extra). Callers that
 // need delivery-ordered scheduling (netsim's link egress) reserve first,
-// then schedule through Engine.AtLinkCall/Inject with the completion
-// time. The transfer occupies at least one picosecond when n > 0, so the
-// returned time is always strictly after now plus extra — the property
-// the sharding lookahead proof relies on.
+// then schedule through Engine.AtLinkCall with the completion time. The
+// transfer occupies at least one picosecond when n > 0, so the returned
+// time is always strictly after now plus extra, and a link's delivery
+// instants strictly increase.
 func (r *Resource) Reserve(n int64, extra Time) Time {
 	return r.reserve(n, extra)
 }

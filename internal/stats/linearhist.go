@@ -100,7 +100,7 @@ func (h *LinearHist) Quantile(q float64) int {
 	return len(h.counts) - 1
 }
 
-// Add merges another histogram into this one bucket-wise, so per-shard
+// Add merges another histogram into this one bucket-wise, so per-tap
 // histograms combine deterministically at readout: observations in
 // buckets beyond this histogram's range clamp into the top bucket,
 // exactly as Record would have clamped them.

@@ -81,7 +81,6 @@ type Machine struct {
 	MAC   packet.EtherAddr
 	Stack api.Stack
 	Iface *netsim.Iface
-	Eng   *sim.Engine // shard engine this machine runs on
 
 	// Set when Kind == FlexTOE.
 	TOE  *core.TOE
@@ -92,50 +91,30 @@ type Machine struct {
 }
 
 // Testbed is the cluster. Exactly one of Net (single switch) or Fabric
-// (leaf–spine) is set, per the constructor used.
-//
-// A testbed always runs on a sim.Group. With one core the group holds a
-// single engine and Run is byte-for-byte the serial path. With cores > 1
-// the switch fabric lives on shard 0 and machines are distributed across
-// the remaining shards — rack-affine on a fabric, round-robin on the
-// single-switch testbed — with every host-switch link a conservative
-// lookahead boundary (see the sharding contract in doc.go).
+// (leaf–spine) is set, per the constructor used. The network and every
+// machine run on the one engine Eng.
 type Testbed struct {
-	Eng      *sim.Engine // shard 0: the network engine
-	Group    *sim.Group
+	Eng      *sim.Engine
 	Net      *netsim.Network
 	Fabric   *fabric.Fabric
 	Machines map[string]*Machine
 	macOf    map[packet.IPv4Addr]packet.EtherAddr
+
+	// Group lists Eng as a one-engine set. It remains only for callers
+	// that sum counters over a testbed's engines; new code reads Eng.
+	Group EngineSet
 }
 
-// shardGroup sizes the group: shard 0 for the network plus at most one
-// shard per machine, capped at cores.
-func shardGroup(cores, machines int) *sim.Group {
-	n := 1
-	if cores > 1 && machines > 0 {
-		n = 1 + min(cores-1, machines)
-	}
-	return sim.NewGroup(n)
-}
+// EngineSet is the one-engine set behind Testbed.Group.
+type EngineSet struct{ eng *sim.Engine }
+
+// Engines returns the testbed's engine as a one-element slice.
+func (g EngineSet) Engines() []*sim.Engine { return []*sim.Engine{g.eng} }
 
 // New builds a cluster with the given switch behaviour and machines.
 func New(swCfg netsim.SwitchConfig, specs ...MachineSpec) *Testbed {
-	return NewCores(1, swCfg, specs...)
-}
-
-// NewCores builds a cluster sharded across up to the given core count
-// (1 = the exact serial engine).
-func NewCores(cores int, swCfg netsim.SwitchConfig, specs ...MachineSpec) *Testbed {
-	g := shardGroup(cores, len(specs))
-	eng := g.Engine(0)
-	tb := &Testbed{
-		Eng:      eng,
-		Group:    g,
-		Net:      netsim.NewNetwork(eng, swCfg),
-		Machines: make(map[string]*Machine),
-		macOf:    make(map[packet.IPv4Addr]packet.EtherAddr),
-	}
+	eng := sim.New()
+	tb := &Testbed{Eng: eng, Net: netsim.NewNetwork(eng, swCfg)}
 	tb.populate(specs)
 	return tb
 }
@@ -144,41 +123,16 @@ func NewCores(cores int, swCfg netsim.SwitchConfig, specs ...MachineSpec) *Testb
 // selects its leaf. The same stacks run unmodified — only the network
 // between the NICs changes.
 func NewFabric(fc fabric.Config, specs ...MachineSpec) *Testbed {
-	return NewFabricCores(1, fc, specs...)
-}
-
-// NewFabricCores builds a fabric cluster sharded across up to the given
-// core count, placing machines rack-affine so intra-rack traffic stays
-// within one shard pair.
-func NewFabricCores(cores int, fc fabric.Config, specs ...MachineSpec) *Testbed {
-	g := shardGroup(cores, len(specs))
-	eng := g.Engine(0)
-	tb := &Testbed{
-		Eng:      eng,
-		Group:    g,
-		Fabric:   fabric.New(eng, fc),
-		Machines: make(map[string]*Machine),
-		macOf:    make(map[packet.IPv4Addr]packet.EtherAddr),
-	}
+	eng := sim.New()
+	tb := &Testbed{Eng: eng, Fabric: fabric.New(eng, fc)}
 	tb.populate(specs)
 	return tb
 }
 
-// engineFor places machine idx on its shard: rack-affine on a fabric,
-// round-robin otherwise. Shard 0 is reserved for the network.
-func (tb *Testbed) engineFor(idx int, spec MachineSpec) *sim.Engine {
-	n := tb.Group.N()
-	if n == 1 {
-		return tb.Eng
-	}
-	k := n - 1
-	if tb.Fabric != nil {
-		return tb.Group.Engine(1 + spec.Rack%k)
-	}
-	return tb.Group.Engine(1 + idx%k)
-}
-
 func (tb *Testbed) populate(specs []MachineSpec) {
+	tb.Group = EngineSet{tb.Eng}
+	tb.Machines = make(map[string]*Machine)
+	tb.macOf = make(map[packet.IPv4Addr]packet.EtherAddr)
 	for i, spec := range specs {
 		tb.add(i, spec)
 	}
@@ -212,16 +166,16 @@ func (tb *Testbed) add(idx int, spec MachineSpec) {
 	}
 	ip := packet.IP(10, 0, byte(idx>>8), byte(idx+1))
 	mac := packet.MAC(0x02, 0, 0, 0, byte(idx>>8), byte(idx+1))
-	eng := tb.engineFor(idx, spec)
+	eng := tb.Eng
 	var iface *netsim.Iface
 	if tb.Fabric != nil {
-		iface = tb.Fabric.AttachHostOn(eng, spec.Rack, spec.Name, mac, netsim.GbpsToBytesPerSec(spec.NICGbps), 0)
+		iface = tb.Fabric.AttachHost(spec.Rack, spec.Name, mac, netsim.GbpsToBytesPerSec(spec.NICGbps), 0)
 	} else {
-		iface = tb.Net.AttachHostOn(eng, spec.Name, mac, netsim.GbpsToBytesPerSec(spec.NICGbps), 150*sim.Nanosecond)
+		iface = tb.Net.AttachHost(spec.Name, mac, netsim.GbpsToBytesPerSec(spec.NICGbps), 150*sim.Nanosecond)
 	}
 	machine := host.NewMachine(eng, spec.Name, spec.Cores, spec.CoreHz)
 
-	m := &Machine{Spec: spec, IP: ip, MAC: mac, Iface: iface, Eng: eng}
+	m := &Machine{Spec: spec, IP: ip, MAC: mac, Iface: iface}
 	switch spec.Kind {
 	case FlexTOE:
 		cfg := core.AgilioCX40Config()
@@ -283,16 +237,11 @@ func (tb *Testbed) Addr(name string, port uint16) api.Addr {
 	return api.Addr{IP: tb.Machines[name].IP, Port: port}
 }
 
-// Run advances the simulation to the given time across all shards.
-func (tb *Testbed) Run(until sim.Time) { tb.Group.RunUntil(until) }
+// Run advances the simulation to the given time.
+func (tb *Testbed) Run(until sim.Time) { tb.Eng.RunUntil(until) }
 
-// PoolStats sums packet-pool traffic across shard engines in shard-index
-// order — the deterministic merge of the per-shard counters.
+// PoolStats returns the testbed's packet-pool traffic.
 func (tb *Testbed) PoolStats() (gets, releases uint64) {
-	for _, e := range tb.Group.Engines() {
-		pl := packet.PoolOf(e)
-		gets += pl.Stats.Gets
-		releases += pl.Stats.Releases
-	}
-	return gets, releases
+	pl := packet.PoolOf(tb.Eng)
+	return pl.Stats.Gets, pl.Stats.Releases
 }
